@@ -9,12 +9,9 @@ checked-in ``BENCH_hbm.json`` at ``tier="paper"``:
     PYTHONPATH=src python benchmarks/bench_hbm.py
 """
 
-from repro.experiments import (
-    run_hbm_smoke,
-    run_hbm_sweep,
-    write_hbm_results,
-)
-from repro.experiments.hbm_sweep import MINI_SWEEP, SMOKE_MIN_DELTA_REDUCTION
+from repro.experiments import run_hbm_smoke, run_hbm_sweep, write_bench
+from repro.experiments.gates import HBM_FLOOR
+from repro.experiments.hbm_sweep import MINI_SWEEP
 
 
 def _render(results):
@@ -39,7 +36,7 @@ def test_hbm_sweep(benchmark, once, capsys):
         print("\n=== HBM crossover sweep (mini axes) ===")
         print(_render(results))
     assert results["colors_identical_across_cells"]
-    assert results["smoke"]["min_delta_reduction"] >= SMOKE_MIN_DELTA_REDUCTION
+    assert results["smoke"]["min_delta_reduction"] >= HBM_FLOOR
     # Bandwidth scarcity is what makes the merge pay: the gain at the
     # fewest channels must dominate the gain at the most.
     by_ch = {e["channels"]: e["merge_gain"] for e in results["entries"]
@@ -50,6 +47,6 @@ def test_hbm_sweep(benchmark, once, capsys):
 if __name__ == "__main__":
     results = run_hbm_sweep()
     results["smoke"] = run_hbm_smoke()
-    path = write_hbm_results(results)
+    path = write_bench("hbm", results)
     print(_render(results))
     print(f"\nwrote {path}")

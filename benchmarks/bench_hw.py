@@ -8,7 +8,7 @@ checked-in ``BENCH_hw.json``:
     PYTHONPATH=src python benchmarks/bench_hw.py
 """
 
-from repro.experiments import run_hw_bench, write_hw_results
+from repro.experiments import run_hw_bench, write_bench
 from repro.experiments.hw_bench import LARGEST_STANDIN
 
 
@@ -66,6 +66,6 @@ def test_hw_engines(benchmark, once, capsys):
 
 if __name__ == "__main__":
     results = run_hw_bench(repeats=5)
-    path = write_hw_results(results)
+    path = write_bench("hw", results)
     print(_render(results))
     print(f"\nwrote {path}")

@@ -7,7 +7,7 @@ Running the file directly regenerates the checked-in ``BENCH_kernels.json``:
     PYTHONPATH=src python benchmarks/bench_kernels.py
 """
 
-from repro.experiments import run_kernel_bench, write_results
+from repro.experiments import run_kernel_bench, write_bench
 
 
 def _native_cols(e):
@@ -83,6 +83,6 @@ def test_kernel_backends(benchmark, once, capsys):
 
 if __name__ == "__main__":
     results = run_kernel_bench(repeats=5)
-    path = write_results(results)
+    path = write_bench("kernels", results)
     print(_render(results))
     print(f"\nwrote {path}")

@@ -13,7 +13,7 @@ the checked-in ``BENCH_mesh.json``:
     PYTHONPATH=src python benchmarks/bench_mesh.py
 """
 
-from repro.experiments import run_mesh_bench, write_mesh_results
+from repro.experiments import run_mesh_bench, write_bench
 
 
 def _render(results):
@@ -58,6 +58,6 @@ def test_mesh_scaling(benchmark, once, capsys):
 
 if __name__ == "__main__":
     results = run_mesh_bench(repeats=3)
-    path = write_mesh_results(results)
+    path = write_bench("mesh", results)
     print(_render(results))
     print(f"\nwrote {path}")

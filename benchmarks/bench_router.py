@@ -11,7 +11,7 @@ kept.  Running the file directly regenerates the checked-in
     PYTHONPATH=src python benchmarks/bench_router.py
 """
 
-from repro.experiments import run_router_bench, write_router_results
+from repro.experiments import run_router_bench, write_bench
 
 
 def _render(results):
@@ -57,6 +57,6 @@ def test_router_autotune(benchmark, once, capsys):
 
 if __name__ == "__main__":
     results = run_router_bench(repeats=3, progress=print)
-    path = write_router_results(results)
+    path = write_bench("router", results)
     print(_render(results))
     print(f"\nwrote {path}")

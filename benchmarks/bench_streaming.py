@@ -11,7 +11,7 @@ regenerates the checked-in ``BENCH_streaming.json``:
     PYTHONPATH=src python benchmarks/bench_streaming.py
 """
 
-from repro.experiments import run_streaming_bench, write_streaming_results
+from repro.experiments import run_streaming_bench, write_bench
 
 
 def _render(results):
@@ -49,6 +49,6 @@ def test_streaming_lane(benchmark, once, capsys):
 
 if __name__ == "__main__":
     results = run_streaming_bench(repeats=3)
-    path = write_streaming_results(results)
+    path = write_bench("streaming", results)
     print(_render(results))
     print(f"\nwrote {path}")

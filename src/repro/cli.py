@@ -307,9 +307,9 @@ def _check_fitted_service(table, model, *, datasets=()) -> int:
 
 
 def cmd_hbm_sweep(args) -> int:
+    from .experiments.gates import HBM_FLOOR, write_bench
     from .experiments.hbm_sweep import (
-        MINI_SWEEP, PAPER_SWEEP, check_hbm_smoke, run_hbm_smoke,
-        run_hbm_sweep, write_hbm_results,
+        MINI_SWEEP, PAPER_SWEEP, run_hbm_smoke, run_hbm_sweep,
     )
 
     axes = dict(MINI_SWEEP if args.mini else PAPER_SWEEP)
@@ -332,13 +332,13 @@ def cmd_hbm_sweep(args) -> int:
           f"{len(stops)}/{len(results['crossover'])} "
           f"(dataset, P, layout) rows; colors byte-identical across cells")
     if args.out:
-        path = write_hbm_results(results, args.out)
+        path = write_bench("hbm", results, args.out)
         print(f"sweep written to {path}")
     if args.check:
-        ok, current, floor = check_hbm_smoke(results)
+        current = results["smoke"]["min_delta_reduction"]
         print(f"gate: parity ok, min delta-compressed edge-read-cycle "
-              f"reduction {current:.1%} (floor {floor:.1%})")
-        if not ok:
+              f"reduction {current:.1%} (floor {HBM_FLOOR:.1%})")
+        if current < HBM_FLOOR:
             print("FAIL: delta-compressed layout fell below the "
                   "reduction floor")
             return 1

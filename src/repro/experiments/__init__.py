@@ -9,24 +9,18 @@ from .datasets import (
     paper_hdv_fraction,
 )
 from .hw_bench import (
-    check_hw_native_smoke,
-    check_hw_smoke,
-    load_hw_results,
     run_hw_bench,
     run_hw_native_smoke,
     run_hw_smoke,
-    write_hw_results,
 )
 from .hbm_sweep import (
     MINI_SWEEP,
     PAPER_SWEEP,
-    check_hbm_smoke,
-    load_hbm_results,
     render_hbm_figure,
     run_hbm_smoke,
     run_hbm_sweep,
-    write_hbm_results,
 )
+from .gates import GATES, Gate, best_of, bench_path, load_bench, run_gate, write_bench
 from .figures import (
     AblationStep,
     Fig13Result,
@@ -40,33 +34,21 @@ from .figures import (
     fig14_resources,
 )
 from .kernel_bench import (
-    check_native_smoke,
-    check_obs_overhead,
-    check_smoke,
-    load_results,
     run_kernel_bench,
     run_native_smoke,
-    run_obs_overhead,
     run_obs_overhead_pair,
     run_smoke,
     smoke_graph,
-    write_results,
 )
 from .mesh_bench import (
-    check_mesh_smoke,
-    load_mesh_results,
     run_mesh_bench,
     run_mesh_parity,
     run_mesh_smoke,
-    write_mesh_results,
 )
 from .router_bench import (
-    check_router_smoke,
     evaluate_policies,
-    load_router_results,
     run_router_bench,
     run_router_parity,
-    write_router_results,
 )
 from .runner import get_graph, get_spec, run_bitcolor, run_cpu, run_gpu, run_greedy
 from .scenario_sweep import (
@@ -78,18 +60,12 @@ from .scenario_sweep import (
     write_sweep_table,
 )
 from .service_bench import (
-    check_service_smoke,
-    load_service_results,
     run_service_bench,
     run_service_smoke,
-    write_service_results,
 )
 from .streaming_bench import (
-    check_streaming_smoke,
-    load_streaming_results,
     run_streaming_bench,
     run_streaming_smoke,
-    write_streaming_results,
 )
 from .tables import (
     Table2Row,
@@ -113,22 +89,22 @@ __all__ = [
     "DATASET_KEYS",
     "DATASET_TIERS",
     "REGISTRY",
-    "check_hw_native_smoke",
-    "check_hw_smoke",
-    "load_hw_results",
     "run_hw_bench",
     "run_hw_native_smoke",
     "run_hw_smoke",
-    "write_hw_results",
     "MINI_SWEEP",
     "PAPER_SWEEP",
-    "check_hbm_smoke",
-    "load_hbm_results",
     "render_hbm_figure",
     "run_hbm_smoke",
     "run_hbm_sweep",
-    "write_hbm_results",
     "DatasetSpec",
+    "GATES",
+    "Gate",
+    "best_of",
+    "bench_path",
+    "load_bench",
+    "run_gate",
+    "write_bench",
     "load_dataset",
     "paper_hdv_fraction",
     "AblationStep",
@@ -141,51 +117,33 @@ __all__ = [
     "fig12_scaling",
     "fig13_comparison",
     "fig14_resources",
-    "check_native_smoke",
-    "check_obs_overhead",
-    "check_smoke",
-    "load_results",
     "run_kernel_bench",
     "run_native_smoke",
-    "run_obs_overhead",
     "run_obs_overhead_pair",
     "run_smoke",
     "smoke_graph",
-    "write_results",
     "get_graph",
     "get_spec",
     "run_bitcolor",
     "run_cpu",
     "run_gpu",
     "run_greedy",
-    "check_mesh_smoke",
-    "load_mesh_results",
     "run_mesh_bench",
     "run_mesh_parity",
     "run_mesh_smoke",
-    "write_mesh_results",
-    "check_router_smoke",
     "evaluate_policies",
-    "load_router_results",
     "run_router_bench",
     "run_router_parity",
-    "write_router_results",
     "load_sweep_table",
     "run_scenario_sweep",
     "scenario_graph",
     "slow_regions",
     "sweep_report",
     "write_sweep_table",
-    "check_service_smoke",
-    "load_service_results",
     "run_service_bench",
     "run_service_smoke",
-    "write_service_results",
-    "check_streaming_smoke",
-    "load_streaming_results",
     "run_streaming_bench",
     "run_streaming_smoke",
-    "write_streaming_results",
     "Table2Row",
     "Table3Row",
     "Table4Row",

@@ -12,49 +12,38 @@ Entry points mirror :mod:`repro.experiments.kernel_bench`:
 
 * :func:`run_hw_bench` — the full dataset matrix, driven by
   ``benchmarks/bench_hw.py``;
-* :func:`run_hw_smoke` / :func:`check_hw_smoke` — one small fixed graph
-  timed the same way, compared against the checked-in baseline by
-  ``scripts/bench_smoke.py`` so an engine regression fails fast in CI;
-* :func:`run_hw_native_smoke` / :func:`check_hw_native_smoke` — the
-  batched engine's Python replay vs the optional compiled replay
-  (:mod:`repro.kernels.native`); auto-skips when no backend is usable.
-  The event-vs-batched baseline itself is pinned to ``replay="python"``
-  so its recorded numbers compare the same code paths on every host.
+* :func:`run_hw_smoke` — one small fixed graph timed the same way, held
+  to the checked-in baseline by gate 3 (:mod:`repro.experiments.gates`)
+  so an engine regression fails fast in CI;
+* :func:`run_hw_native_smoke` — the batched engine's Python replay vs
+  the optional compiled replay (:mod:`repro.kernels.native`), behind
+  gate 6; reports unavailable when no backend is usable.  The
+  event-vs-batched baseline itself is pinned to ``replay="python"`` so
+  its recorded numbers compare the same code paths on every host.
 
-Timings are best-of-``repeats`` wall clock (minimum: noise is strictly
-additive in micro-benchmarks).
+Timings are best-of-``repeats`` wall clock (:func:`.gates.best_of`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
 from ..graph import degree_based_grouping, sort_edges
 from ..hw import BitColorAccelerator, HWConfig, OptimizationFlags
 from .datasets import DATASET_KEYS, REGISTRY, load_dataset
-from .kernel_bench import _best_of, smoke_graph
+from .gates import best_of
+from .kernel_bench import smoke_graph
 
 __all__ = [
     "DEFAULT_HW_DATASETS",
-    "DEFAULT_HW_RESULT_PATH",
     "LARGEST_STANDIN",
-    "MIN_NATIVE_REPLAY_SPEEDUP",
-    "check_hw_native_smoke",
-    "check_hw_smoke",
-    "load_hw_results",
     "run_hw_bench",
     "run_hw_native_smoke",
     "run_hw_smoke",
-    "write_hw_results",
 ]
-
-DEFAULT_HW_RESULT_PATH = Path(__file__).resolve().parents[3] / "BENCH_hw.json"
-"""Checked-in engine benchmark results at the repo root."""
 
 DEFAULT_HW_DATASETS: Tuple[str, ...] = tuple(DATASET_KEYS)
 """All ten stand-ins: the parity claim is suite-wide, so the timing is too."""
@@ -64,14 +53,6 @@ LARGEST_STANDIN = "RC"
 >=10x speedup requirement there (see ISSUE/EXPERIMENTS notes)."""
 
 HW_SMOKE_SPEC = "powerlaw_cluster(1200, 6, 0.3, seed=7), preprocessed, P=16"
-
-MIN_NATIVE_REPLAY_SPEEDUP = 1.2
-"""Acceptance floor for the compiled replay on the batched smoke run.
-
-The whole-run speedup is diluted by the shared vectorized epoch
-precompute, so the floor is modest; what the gate must catch is the
-native replay silently falling back to the Python recurrence, which
-shows up as a ~1x "speedup"."""
 
 
 def _engines_for(key: str, parallelism: int):
@@ -123,8 +104,8 @@ def run_hw_bench(
     for key in datasets:
         graph, event_acc, batched_acc = _engines_for(key, parallelism)
         _assert_engine_parity(graph, event_acc, batched_acc)  # also warms both
-        event_s = _best_of(lambda: event_acc.run(graph), repeats)
-        batched_s = _best_of(lambda: batched_acc.run(graph), repeats)
+        event_s = best_of(lambda: event_acc.run(graph), repeats)
+        batched_s = best_of(lambda: batched_acc.run(graph), repeats)
         entry = {
             "dataset": key,
             "num_vertices": graph.num_vertices,
@@ -140,7 +121,7 @@ def run_hw_bench(
                 engine="batched", replay="native",
             )
             _assert_engine_parity(graph, batched_acc, native_acc)
-            native_s = _best_of(lambda: native_acc.run(graph), repeats)
+            native_s = best_of(lambda: native_acc.run(graph), repeats)
             entry["native_s"] = native_s
             entry["native_speedup"] = (
                 batched_s / native_s if native_s > 0 else float("inf")
@@ -162,8 +143,8 @@ def run_hw_bench(
 def run_hw_smoke(*, repeats: int = 3) -> Dict[str, object]:
     """Time both engines on the fixed smoke graph (see ``HW_SMOKE_SPEC``).
 
-    The recorded ``baseline_speedup`` is what :func:`check_hw_smoke`
-    compares future runs against.
+    The recorded ``baseline_speedup`` is what gate 3 compares future runs
+    against.
     """
     graph = sort_edges(degree_based_grouping(smoke_graph()).graph)
     config = HWConfig(parallelism=16, cache_bytes=graph.num_vertices)
@@ -175,8 +156,8 @@ def run_hw_smoke(*, repeats: int = 3) -> Dict[str, object]:
         config, flags, engine="batched", replay="python"
     )
     _assert_engine_parity(graph, event_acc, batched_acc)  # also warms both
-    event_s = _best_of(lambda: event_acc.run(graph), repeats)
-    batched_s = _best_of(lambda: batched_acc.run(graph), repeats)
+    event_s = best_of(lambda: event_acc.run(graph), repeats)
+    batched_s = best_of(lambda: batched_acc.run(graph), repeats)
     return {
         "graph": HW_SMOKE_SPEC,
         "event_s": event_s,
@@ -209,8 +190,8 @@ def run_hw_native_smoke(*, repeats: int = 3) -> Dict[str, object]:
         config, flags, engine="batched", replay="native"
     )
     _assert_engine_parity(graph, python_acc, native_acc)  # also warms both
-    python_s = _best_of(lambda: python_acc.run(graph), repeats)
-    native_s = _best_of(lambda: native_acc.run(graph), repeats)
+    python_s = best_of(lambda: python_acc.run(graph), repeats)
+    native_s = best_of(lambda: native_acc.run(graph), repeats)
     return {
         "available": True,
         "graph": HW_SMOKE_SPEC,
@@ -219,52 +200,3 @@ def run_hw_native_smoke(*, repeats: int = 3) -> Dict[str, object]:
         "baseline_speedup": python_s / native_s if native_s > 0 else float("inf"),
         "backend": native.backend_info(),
     }
-
-
-def check_hw_native_smoke(
-    *, min_speedup: float = MIN_NATIVE_REPLAY_SPEEDUP, repeats: int = 3
-) -> Tuple[Optional[bool], float, float]:
-    """Gate the compiled replay on the batched smoke run.
-
-    Returns ``(ok, current_speedup, threshold)``; ``ok`` is ``None`` when
-    no native backend is available (caller reports a skip — the tier is
-    optional by design).  Otherwise the whole-run python-vs-native replay
-    speedup must clear :data:`MIN_NATIVE_REPLAY_SPEEDUP`.
-    """
-    doc = run_hw_native_smoke(repeats=repeats)
-    if not doc["available"]:
-        return None, 0.0, min_speedup
-    current = float(doc["baseline_speedup"])
-    return current >= min_speedup, current, min_speedup
-
-
-def check_hw_smoke(
-    baseline: Dict[str, object], *, factor: float = 2.0, repeats: int = 3
-) -> Tuple[bool, float, float]:
-    """Re-run the hw smoke benchmark against a checked-in baseline.
-
-    Returns ``(ok, current_speedup, threshold)``; passes while the current
-    event/batched speedup stays above ``baseline / factor`` — the shape a
-    batched-engine regression (vectorized precompute silently degrading to
-    scalar work) takes.
-    """
-    smoke = baseline.get("smoke", baseline)
-    baseline_speedup = float(smoke["baseline_speedup"])
-    current = float(run_hw_smoke(repeats=repeats)["baseline_speedup"])
-    threshold = baseline_speedup / factor
-    return current >= threshold, current, threshold
-
-
-def write_hw_results(
-    results: Dict[str, object], path: Optional[Path] = None
-) -> Path:
-    """Write the result document as pretty-printed JSON; returns the path."""
-    path = DEFAULT_HW_RESULT_PATH if path is None else Path(path)
-    path.write_text(json.dumps(results, indent=2) + "\n")
-    return path
-
-
-def load_hw_results(path: Optional[Path] = None) -> Dict[str, object]:
-    """Read a previously written result document."""
-    path = DEFAULT_HW_RESULT_PATH if path is None else Path(path)
-    return json.loads(path.read_text())

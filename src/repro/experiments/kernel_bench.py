@@ -6,60 +6,47 @@ property-tested to be bit-identical, so the only question left is speed —
 this module times both on the synthetic dataset suite and writes
 ``BENCH_kernels.json`` at the repo root.
 
-Two entry points:
+Entry points:
 
 * :func:`run_kernel_bench` — the full matrix (datasets × algorithms),
   driven by ``benchmarks/bench_kernels.py``;
-* :func:`run_smoke` / :func:`check_smoke` — a tiny fixed graph timed the
-  same way, compared against the checked-in baseline by
-  ``scripts/bench_smoke.py`` so a kernel-layer regression fails fast in
-  tier-1 without the cost (or flakiness) of the full suite;
-* :func:`run_native_smoke` / :func:`check_native_smoke` — the raw
-  scatter-OR + first-free kernels, vectorized vs the optional compiled
-  tier (:mod:`repro.kernels.native`); auto-skips when no compiler or
-  numba is present.  When a native backend is detected, :func:`_measure`
-  also times every (dataset, algorithm) pair with ``backend="native"``
-  and records ``native_s`` / ``native_speedup`` columns.
+* :func:`run_smoke` — a tiny fixed graph timed the same way, held to the
+  checked-in baseline by gate 1 (:mod:`repro.experiments.gates`) so a
+  kernel-layer regression fails fast in tier-1 without the cost (or
+  flakiness) of the full suite; :func:`run_obs_overhead_pair` feeds the
+  disabled-observability gate 2;
+* :func:`run_native_smoke` — the raw scatter-OR + first-free kernels,
+  vectorized vs the optional compiled tier (:mod:`repro.kernels.native`),
+  behind gate 5; reports unavailable when no C compiler is present.
+  When a native backend is detected, :func:`_measure` also times every
+  (dataset, algorithm) pair with ``backend="native"`` and records
+  ``native_s`` / ``native_speedup`` columns.
 
-Timings are best-of-``repeats`` wall clock: the minimum is the standard
-robust statistic for micro-benchmarks because noise is strictly additive.
+Timings are best-of-``repeats`` wall clock (:func:`.gates.best_of`).
 """
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from ..coloring import bitwise_greedy_coloring, jones_plassmann_coloring, luby_mis
 from ..graph import CSRGraph, powerlaw_cluster
 from ..obs import Registry, use_registry
 from .datasets import load_dataset
+from .gates import best_of
 
 __all__ = [
     "ALGORITHMS",
     "DEFAULT_DATASETS",
-    "DEFAULT_RESULT_PATH",
-    "MIN_NATIVE_SPEEDUP",
     "SCALING_DATASET",
     "SCALING_WORKERS",
-    "check_native_smoke",
-    "check_obs_overhead",
-    "check_smoke",
-    "load_results",
     "run_kernel_bench",
     "run_native_smoke",
-    "run_obs_overhead",
     "run_obs_overhead_pair",
     "run_smoke",
     "run_worker_scaling",
     "smoke_graph",
-    "write_results",
 ]
-
-DEFAULT_RESULT_PATH = Path(__file__).resolve().parents[3] / "BENCH_kernels.json"
-"""Checked-in benchmark results at the repo root."""
 
 DEFAULT_DATASETS: Tuple[str, ...] = ("EF", "GD", "RC", "CL")
 """One stand-in per topology class: small social, default power-law social
@@ -80,16 +67,6 @@ NATIVE_SMOKE_SPEC = (
 )
 """Human-readable description of the raw native kernel micro-benchmark."""
 
-MIN_NATIVE_SPEEDUP = 3.0
-"""Acceptance floor for the compiled kernels on the raw micro-benchmark.
-
-An absolute floor rather than a baseline ratio: raw kernel speedups vary
-wildly across hosts (NumPy's ``bitwise_or.at`` is unbuffered scalar
-dispatch, so the gap only widens on fast machines), and what the gate
-must catch is the native tier silently degrading to the vectorized
-fallback — which shows up as a ~1x "speedup", far below any real
-compiled run."""
-
 
 def _runner(algorithm: str, graph: CSRGraph, backend: str) -> Callable[[], object]:
     """A zero-argument callable running one (algorithm, backend) pair."""
@@ -104,15 +81,6 @@ def _runner(algorithm: str, graph: CSRGraph, backend: str) -> Callable[[], objec
     raise ValueError(f"unknown algorithm {algorithm!r}; known: {ALGORITHMS}")
 
 
-def _best_of(fn: Callable[[], object], repeats: int) -> float:
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def _measure(graph: CSRGraph, algorithm: str, repeats: int) -> Dict[str, float]:
     python_fn = _runner(algorithm, graph, "python")
     vector_fn = _runner(algorithm, graph, "vectorized")
@@ -120,8 +88,8 @@ def _measure(graph: CSRGraph, algorithm: str, repeats: int) -> Dict[str, float]:
     # lazy imports) so the timed runs compare steady-state kernels.
     python_fn()
     vector_fn()
-    python_s = _best_of(python_fn, repeats)
-    vectorized_s = _best_of(vector_fn, repeats)
+    python_s = best_of(python_fn, repeats)
+    vectorized_s = best_of(vector_fn, repeats)
     timing = {
         "python_s": python_s,
         "vectorized_s": vectorized_s,
@@ -134,7 +102,7 @@ def _measure(graph: CSRGraph, algorithm: str, repeats: int) -> Dict[str, float]:
     if native.available() and algorithm in ("bitwise", "jones_plassmann"):
         native_fn = _runner(algorithm, graph, "native")
         native_fn()
-        native_s = _best_of(native_fn, repeats)
+        native_s = best_of(native_fn, repeats)
         timing["native_s"] = native_s
         timing["native_speedup"] = (
             vectorized_s / native_s if native_s > 0 else float("inf")
@@ -150,8 +118,8 @@ def run_kernel_bench(
 ) -> Dict[str, object]:
     """Time every (dataset, algorithm) pair on both backends.
 
-    Returns the JSON-ready result document; :func:`write_results` persists
-    it to :data:`DEFAULT_RESULT_PATH`.
+    Returns the JSON-ready result document; ``benchmarks/bench_kernels.py``
+    writes it to ``BENCH_kernels.json``.
     """
     entries: List[Dict[str, object]] = []
     for key in datasets:
@@ -204,7 +172,7 @@ def run_worker_scaling(
     graph = load_dataset(dataset, preprocessed=True)
     reference_fn = _runner("bitwise", graph, "vectorized")
     reference_fn()  # warm
-    reference_s = _best_of(reference_fn, repeats)
+    reference_s = best_of(reference_fn, repeats)
     baseline_colors = None
     entries: List[Dict[str, object]] = []
     for w in workers:
@@ -217,7 +185,7 @@ def run_worker_scaling(
                 f"parallel colors diverged between workers={workers[0]} and "
                 f"workers={w}"
             )
-        seconds = _best_of(fn, repeats)
+        seconds = best_of(fn, repeats)
         entries.append(
             {
                 "workers": w,
@@ -244,8 +212,8 @@ def smoke_graph() -> CSRGraph:
 def run_smoke(*, repeats: int = 3) -> Dict[str, object]:
     """Time the bitwise backends on the smoke graph.
 
-    The recorded ``baseline_speedup`` is what :func:`check_smoke` compares
-    future runs against.
+    The recorded ``baseline_speedup`` is what gate 1 compares future runs
+    against.
     """
     timing = _measure(smoke_graph(), "bitwise", repeats)
     doc = {
@@ -259,23 +227,6 @@ def run_smoke(*, repeats: int = 3) -> Dict[str, object]:
         doc["native_s"] = timing["native_s"]
         doc["native_speedup"] = timing["native_speedup"]
     return doc
-
-
-def check_smoke(
-    baseline: Dict[str, object], *, factor: float = 2.0, repeats: int = 3
-) -> Tuple[bool, float, float]:
-    """Re-run the smoke benchmark against a checked-in baseline.
-
-    Returns ``(ok, current_speedup, threshold)`` where the check passes as
-    long as the current speedup is no worse than ``baseline / factor`` —
-    loose enough to absorb machine noise, tight enough to catch the kernel
-    layer silently falling back to scalar work.
-    """
-    smoke = baseline.get("smoke", baseline)
-    baseline_speedup = float(smoke["baseline_speedup"])
-    current = float(run_smoke(repeats=repeats)["baseline_speedup"])
-    threshold = baseline_speedup / factor
-    return current >= threshold, current, threshold
 
 
 def _native_workload() -> Tuple[object, object, int, int]:
@@ -326,8 +277,8 @@ def run_native_smoke(*, repeats: int = 3) -> Dict[str, object]:
     nat_fn = lambda: nat_ff(  # noqa: E731
         nat_scatter(rows, colors, num_rows, num_words)
     )
-    vectorized_s = _best_of(vec_fn, repeats)
-    native_s = _best_of(nat_fn, repeats)
+    vectorized_s = best_of(vec_fn, repeats)
+    native_s = best_of(nat_fn, repeats)
     return {
         "available": True,
         "workload": NATIVE_SMOKE_SPEC,
@@ -338,39 +289,6 @@ def run_native_smoke(*, repeats: int = 3) -> Dict[str, object]:
         ),
         "backend": native.backend_info(),
     }
-
-
-def check_native_smoke(
-    *, min_speedup: float = MIN_NATIVE_SPEEDUP, repeats: int = 3
-) -> Tuple[Optional[bool], float, float]:
-    """Gate the compiled kernels on the raw micro-benchmark.
-
-    Returns ``(ok, current_speedup, threshold)``.  ``ok`` is ``None`` when
-    no native backend is available — the caller should report a skip, not
-    a failure (the tier is optional by design).  Otherwise the check
-    passes while the native scatter+first-free pass beats vectorized by
-    at least ``min_speedup`` (see :data:`MIN_NATIVE_SPEEDUP` for why the
-    floor is absolute rather than baseline-relative).
-    """
-    doc = run_native_smoke(repeats=repeats)
-    if not doc["available"]:
-        return None, 0.0, min_speedup
-    current = float(doc["baseline_speedup"])
-    return current >= min_speedup, current, min_speedup
-
-
-def run_obs_overhead(*, repeats: int = 5) -> float:
-    """Best-of-``repeats`` smoke-kernel time with obs *disabled* (seconds).
-
-    Times the vectorized bitwise run under an explicitly disabled
-    :class:`~repro.obs.Registry`, i.e. exactly the state library users get
-    by default — every instrumentation point must reduce to one branch.
-    """
-    graph = smoke_graph()
-    fn = _runner("bitwise", graph, "vectorized")
-    with use_registry(Registry(enabled=False)):
-        fn()  # warm: schedule memoisation, lazy imports
-        return _best_of(fn, repeats)
 
 
 def run_obs_overhead_pair(*, repeats: int = 5) -> Tuple[float, float]:
@@ -385,52 +303,4 @@ def run_obs_overhead_pair(*, repeats: int = 5) -> Tuple[float, float]:
     with use_registry(Registry(enabled=False)):
         vec()  # warm: schedule memoisation, lazy imports
         py()
-        return _best_of(vec, repeats), _best_of(py, repeats)
-
-
-def check_obs_overhead(
-    baseline: Dict[str, object], *, limit: float = 1.05, repeats: int = 5
-) -> Tuple[bool, float, float]:
-    """Check the disabled-observability overhead against the baseline.
-
-    Returns ``(ok, current_ratio, threshold_ratio)``; the check passes
-    while the instrumented-but-disabled kernel stays within ``limit``
-    (default +5 %) of the uninstrumented baseline.
-
-    The comparison is drift-normalized: absolute seconds-vs-seconds
-    against a checked-in number flakes whenever the host runs slower
-    than the box that recorded the baseline (shared CI runners drift by
-    tens of percent).  Instead the gate compares the obs-disabled
-    ``vectorized / python`` time ratio, both sides measured in the same
-    process moments apart, against the recorded pre-instrumentation
-    ``smoke.vectorized_s / smoke.python_s``.  Host speed cancels out of
-    the ratio; instrumentation overhead does not — per-run overhead is a
-    near-constant cost, and the vectorized run is ~10x shorter, so any
-    creep inflates the numerator ~10x more than the denominator.
-    """
-    smoke = baseline.get("smoke", baseline)
-    baseline_ratio = float(smoke["vectorized_s"]) / float(smoke["python_s"])
-    # Min over a few measurement windows, for the same reason _best_of
-    # takes a min: contention noise is one-sided (it only slows a
-    # window), while real instrumentation overhead shifts every window.
-    current = min(
-        (lambda vp: vp[0] / vp[1])(run_obs_overhead_pair(repeats=repeats))
-        for _ in range(3)
-    )
-    threshold = baseline_ratio * limit
-    return current <= threshold, current, threshold
-
-
-def write_results(
-    results: Dict[str, object], path: Optional[Path] = None
-) -> Path:
-    """Write the result document as pretty-printed JSON; returns the path."""
-    path = DEFAULT_RESULT_PATH if path is None else Path(path)
-    path.write_text(json.dumps(results, indent=2) + "\n")
-    return path
-
-
-def load_results(path: Optional[Path] = None) -> Dict[str, object]:
-    """Read a previously written result document."""
-    path = DEFAULT_RESULT_PATH if path is None else Path(path)
-    return json.loads(path.read_text())
+        return best_of(vec, repeats), best_of(py, repeats)

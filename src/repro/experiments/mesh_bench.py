@@ -19,42 +19,31 @@ Entry points mirror :mod:`repro.experiments.service_bench`:
 
 * :func:`run_mesh_bench` — the worker-count sweep, driven by
   ``benchmarks/bench_mesh.py``;
-* :func:`run_mesh_smoke` / :func:`check_mesh_smoke` — the fixed
-  2-vs-1-worker workload behind ``scripts/bench_smoke.py`` gate 8,
-  which **auto-skips with a recorded reason** on single-CPU hosts where
-  process scaling is not measurable.
+* :func:`run_mesh_smoke` — the fixed 2-vs-1-worker workload behind
+  gate 8 (:mod:`repro.experiments.gates`), which **auto-skips with a
+  recorded reason** on single-CPU hosts where process scaling is not
+  measurable.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List
 
 import numpy as np
 
 from ..graph import erdos_renyi
 from ..obs import Registry
 from .datasets import DATASET_KEYS, load_dataset
-from .kernel_bench import _best_of
+from .gates import MESH_FLOOR, best_of
 
 __all__ = [
-    "DEFAULT_MESH_RESULT_PATH",
     "MESH_SMOKE_SPEC",
-    "check_mesh_smoke",
-    "load_mesh_results",
     "run_mesh_bench",
     "run_mesh_parity",
     "run_mesh_smoke",
-    "write_mesh_results",
 ]
-
-DEFAULT_MESH_RESULT_PATH = (
-    Path(__file__).resolve().parents[3] / "BENCH_mesh.json"
-)
-"""Checked-in mesh benchmark results at the repo root."""
 
 MESH_SMOKE_SPEC = (
     "64 x erdos_renyi(~120, p=0.08), closed loop via 16 client threads, "
@@ -63,9 +52,6 @@ MESH_SMOKE_SPEC = (
 
 _SMOKE_JOBS = 64
 _CLIENT_THREADS = 16
-MESH_SCALING_FLOOR = 1.3
-"""Gate 8's default floor: 2 workers must beat 1 by this much on
-multi-CPU hosts."""
 
 
 def _mesh_fleet(count: int) -> List:
@@ -192,7 +178,7 @@ def run_mesh_bench(
     graphs = _mesh_fleet(fleet)
     entries: List[Dict[str, object]] = []
     for n in worker_counts:
-        seconds = _best_of(
+        seconds = best_of(
             lambda n=n: _closed_loop_mesh_s(graphs, workers=n), repeats
         )
         entries.append(
@@ -208,7 +194,7 @@ def run_mesh_bench(
     if host_cpus >= 2:
         scaling_gate: Dict[str, object] = {
             "skipped": False,
-            "floor": MESH_SCALING_FLOOR,
+            "floor": MESH_FLOOR,
         }
     else:
         scaling_gate = {
@@ -218,7 +204,7 @@ def run_mesh_bench(
                 "core, so the workers=2 >= 1.3x workers=1 floor is not "
                 "measurable here"
             ),
-            "floor": MESH_SCALING_FLOOR,
+            "floor": MESH_FLOOR,
         }
     return {
         "unit": "seconds, best of repeats (closed-loop fleet wall clock)",
@@ -237,12 +223,12 @@ def run_mesh_smoke(*, repeats: int = 3) -> Dict[str, object]:
     """The fixed 2-vs-1-worker workload (see ``MESH_SMOKE_SPEC``).
 
     ``baseline_speedup`` (workers=2 over workers=1 throughput) is what
-    :func:`check_mesh_smoke` compares future runs against on hosts with
+    gate 8 compares future runs against on hosts with
     enough cores to make the comparison meaningful.
     """
     graphs = _mesh_fleet(_SMOKE_JOBS)
-    one_s = _best_of(lambda: _closed_loop_mesh_s(graphs, workers=1), repeats)
-    two_s = _best_of(lambda: _closed_loop_mesh_s(graphs, workers=2), repeats)
+    one_s = best_of(lambda: _closed_loop_mesh_s(graphs, workers=1), repeats)
+    two_s = best_of(lambda: _closed_loop_mesh_s(graphs, workers=2), repeats)
     return {
         "workload": MESH_SMOKE_SPEC,
         "jobs": _SMOKE_JOBS,
@@ -251,38 +237,3 @@ def run_mesh_smoke(*, repeats: int = 3) -> Dict[str, object]:
         "host_cpus": os.cpu_count() or 1,
         "baseline_speedup": one_s / two_s if two_s > 0 else float("inf"),
     }
-
-
-def check_mesh_smoke(
-    *, floor: float = MESH_SCALING_FLOOR, repeats: int = 3
-) -> Tuple[Optional[bool], float, float]:
-    """Re-run the mesh smoke workload against the absolute scaling floor.
-
-    Returns ``(ok, current_speedup, floor)`` — an absolute floor like the
-    native gates, because the failure mode is the mesh silently
-    serializing (router bottleneck, workers sharing one lock), which
-    reads as ~1x regardless of host speed.  ``ok`` is ``None`` when the
-    host has fewer than 2 CPUs: N processes time-slicing one core cannot
-    scale, so the gate **auto-skips** (mirroring the kernel bench's
-    worker-scaling honesty rule) and the caller reports the reason.
-    """
-    host_cpus = os.cpu_count() or 1
-    if host_cpus < 2:
-        return None, float(host_cpus), floor
-    current = float(run_mesh_smoke(repeats=repeats)["baseline_speedup"])
-    return current >= floor, current, floor
-
-
-def write_mesh_results(
-    results: Dict[str, object], path: Optional[Path] = None
-) -> Path:
-    """Write the result document as pretty-printed JSON; returns the path."""
-    path = DEFAULT_MESH_RESULT_PATH if path is None else Path(path)
-    path.write_text(json.dumps(results, indent=2) + "\n")
-    return path
-
-
-def load_mesh_results(path: Optional[Path] = None) -> Dict[str, object]:
-    """Read a previously written result document."""
-    path = DEFAULT_MESH_RESULT_PATH if path is None else Path(path)
-    return json.loads(path.read_text())

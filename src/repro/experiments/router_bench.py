@@ -13,7 +13,7 @@ module scores the two routing policies on that matrix:
 
 Because both policies are scored against the *recorded* per-backend
 seconds, the evaluation is deterministic given the matrix — the bench
-gate (``scripts/bench_smoke.py`` gate 9) refits from the checked-in
+gate (gate 9 of :mod:`repro.experiments.gates`) refits from the checked-in
 ``BENCH_router.json`` and re-scores without re-timing anything, so CI
 catches a fit or router change that degrades agreement, not host noise.
 A small **live** byte-parity check rides along: a service booted with
@@ -27,11 +27,10 @@ mean routed latency drops >= 10 % vs the constants.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -43,6 +42,7 @@ from ..service.decision import (
 )
 from ..service.router import MICROBATCH_CROSSOVER
 from ..service.stats import GraphFeatures
+from .gates import ROUTER_AGREEMENT_FLOOR, ROUTER_REDUCTION_FLOOR
 from .scenario_sweep import (
     FULL_AXES,
     run_scenario_sweep,
@@ -51,29 +51,10 @@ from .scenario_sweep import (
 )
 
 __all__ = [
-    "DEFAULT_ROUTER_RESULT_PATH",
-    "ROUTER_AGREEMENT_FLOOR",
-    "ROUTER_REDUCTION_FLOOR",
-    "check_router_smoke",
     "evaluate_policies",
-    "load_router_results",
     "run_router_bench",
     "run_router_parity",
-    "write_router_results",
 ]
-
-DEFAULT_ROUTER_RESULT_PATH = (
-    Path(__file__).resolve().parents[3] / "BENCH_router.json"
-)
-"""Checked-in router autotuning results (matrix + policy scores)."""
-
-ROUTER_AGREEMENT_FLOOR = 0.9
-"""Fitted pick must match the measured-fastest parity-neutral backend on
-at least this fraction of matrix points."""
-
-ROUTER_REDUCTION_FLOOR = 0.10
-"""Fitted routing must cut mean routed latency vs the constants by at
-least this fraction."""
 
 _PARITY_PROBES = (
     (200, 0.3, 0.0, 4),
@@ -248,57 +229,3 @@ def run_router_bench(
             "parity_colorings_checked": parity_checked,
         },
     }
-
-
-def check_router_smoke(
-    baseline: Dict[str, object],
-    *,
-    agreement_floor: float = ROUTER_AGREEMENT_FLOOR,
-    reduction_floor: float = ROUTER_REDUCTION_FLOOR,
-    live_parity: bool = True,
-) -> Tuple[bool, Dict[str, float], Dict[str, float]]:
-    """Refit from the checked-in matrix and re-score both policies.
-
-    Returns ``(ok, current, floors)`` where ``current`` carries the
-    re-scored ``agreement`` and ``latency_reduction`` (plus the live
-    parity count) and ``floors`` the thresholds they must clear.  The
-    scoring is deterministic — a failure means the fit or the router
-    policy changed, not that the host is slow.  ``live_parity`` adds the
-    byte-parity probe through real services (small graphs, ~seconds).
-    """
-    matrix = baseline.get("matrix")
-    if not isinstance(matrix, dict):
-        raise ValueError("router baseline has no sweep matrix")
-    model = fit_decision_model(matrix)
-    evaluation = evaluate_policies(matrix, model)
-    current = {
-        "agreement": float(evaluation["agreement"]),
-        "latency_reduction": float(evaluation["latency_reduction"]),
-        "parity_colorings_checked": 0,
-    }
-    if live_parity:
-        current["parity_colorings_checked"] = run_router_parity()
-    floors = {
-        "agreement": float(agreement_floor),
-        "latency_reduction": float(reduction_floor),
-    }
-    ok = (
-        current["agreement"] >= floors["agreement"]
-        and current["latency_reduction"] >= floors["latency_reduction"]
-    )
-    return ok, current, floors
-
-
-def write_router_results(
-    results: Dict[str, object], path: Optional[Path] = None
-) -> Path:
-    """Write the result document as pretty-printed JSON; returns the path."""
-    path = DEFAULT_ROUTER_RESULT_PATH if path is None else Path(path)
-    path.write_text(json.dumps(results, indent=2) + "\n")
-    return path
-
-
-def load_router_results(path: Optional[Path] = None) -> Dict[str, object]:
-    """Read a previously written result document."""
-    path = DEFAULT_ROUTER_RESULT_PATH if path is None else Path(path)
-    return json.loads(path.read_text())

@@ -22,44 +22,27 @@ Entry points mirror :mod:`repro.experiments.service_bench`:
 
 * :func:`run_streaming_bench` — the stream-size sweep, driven by
   ``benchmarks/bench_streaming.py``;
-* :func:`run_streaming_smoke` / :func:`check_streaming_smoke` — one
-  fixed scenario for ``scripts/bench_smoke.py`` (gate 7).  The gate is
-  an **absolute floor** (default ≥ 10x): the failure mode is the
-  incremental path silently degrading to per-batch full recolors, which
-  reads as ~1x.
+* :func:`run_streaming_smoke` — one fixed scenario behind gate 7
+  (:mod:`repro.experiments.gates`).  The gate is an **absolute floor**
+  (≥ 10x): the failure mode is the incremental path silently degrading
+  to per-batch full recolors, which reads as ~1x.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..graph.generators import rmat
-from .kernel_bench import _best_of
+from .gates import STREAMING_FLOOR, best_of
 
 __all__ = [
-    "DEFAULT_STREAMING_RESULT_PATH",
-    "STREAMING_FLOOR_SPEEDUP",
     "STREAMING_SMOKE_SPEC",
-    "check_streaming_smoke",
-    "load_streaming_results",
     "run_streaming_bench",
     "run_streaming_smoke",
-    "write_streaming_results",
 ]
-
-DEFAULT_STREAMING_RESULT_PATH = (
-    Path(__file__).resolve().parents[3] / "BENCH_streaming.json"
-)
-"""Checked-in streaming benchmark results at the repo root."""
-
-STREAMING_FLOOR_SPEEDUP = 10.0
-"""Acceptance floor: the session lane must sustain at least this many
-times the naive per-batch full-recolor delta rate."""
 
 STREAMING_SMOKE_SPEC = (
     "rmat(scale=14, epv=8) stream: 90% registered, then 10 batches of "
@@ -202,11 +185,11 @@ def _scenario_entry(
     )
     checks = _verified_stream(prefix, deltas)
     n_deltas = sum(a.shape[0] + r.shape[0] for a, r in deltas)
-    session_s = _best_of(
+    session_s = best_of(
         lambda: _session_stream_s(prefix, deltas, churn_threshold=churn_threshold),
         repeats,
     )
-    naive_s = _best_of(lambda: _naive_stream_s(prefix, deltas), repeats)
+    naive_s = best_of(lambda: _naive_stream_s(prefix, deltas), repeats)
     return {
         "scale": scale,
         "edges_per_vertex": epv,
@@ -246,7 +229,7 @@ def run_streaming_bench(
     return {
         "unit": "seconds, best of repeats (whole-stream wall clock)",
         "repeats": repeats,
-        "floor_speedup": STREAMING_FLOOR_SPEEDUP,
+        "floor_speedup": STREAMING_FLOOR,
         "entries": entries,
         "smoke": run_streaming_smoke(repeats=repeats),
     }
@@ -267,38 +250,3 @@ def run_streaming_smoke(*, repeats: int = 3) -> Dict[str, object]:
         },
         "baseline_speedup": entry["speedup"],
     }
-
-
-def check_streaming_smoke(
-    baseline: Optional[Dict[str, object]] = None,
-    *,
-    floor: float = STREAMING_FLOOR_SPEEDUP,
-    repeats: int = 3,
-) -> Tuple[bool, float, float]:
-    """Re-run the streaming smoke; ``(ok, current_speedup, threshold)``.
-
-    The threshold is the absolute ``floor`` (≥ 10x by default), not a
-    ratio against the baseline: the regression this gate exists to catch
-    is the incremental path silently degrading to per-batch full
-    recolors, which reads as ~1x regardless of host speed.  ``baseline``
-    is accepted for interface symmetry with the other gates (its
-    recorded number is echoed by the caller) but does not move the bar.
-    """
-    del baseline  # absolute floor; see docstring
-    current = float(run_streaming_smoke(repeats=repeats)["baseline_speedup"])
-    return current >= floor, current, floor
-
-
-def write_streaming_results(
-    results: Dict[str, object], path: Optional[Path] = None
-) -> Path:
-    """Write the result document as pretty-printed JSON; returns the path."""
-    path = DEFAULT_STREAMING_RESULT_PATH if path is None else Path(path)
-    path.write_text(json.dumps(results, indent=2) + "\n")
-    return path
-
-
-def load_streaming_results(path: Optional[Path] = None) -> Dict[str, object]:
-    """Read a previously written result document."""
-    path = DEFAULT_STREAMING_RESULT_PATH if path is None else Path(path)
-    return json.loads(path.read_text())

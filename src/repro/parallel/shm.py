@@ -9,18 +9,23 @@ and each worker maps the blocks into a read-only :class:`CSRGraph` view
 (:func:`attach_graph`) — no per-task serialization at all.
 
 Lifecycle: the parent owns the blocks (``close`` + ``unlink`` via the
-context manager); workers only ``close`` their attachments.  On spawn
-start methods the attachment is unregistered from the per-process
-resource tracker so a worker's exit cannot reap blocks the parent still
-owns (a well-known CPython < 3.13 footgun; fork workers share the
-parent's tracker and need no such dance).
+context manager); workers only ``close`` their attachments.  Every block
+is registered with the resource tracker once, by its owner, and
+unregistered once, by the owner's ``unlink``.  :func:`mp_context` starts
+the tracker before any child exists, so fork and spawn children share
+the owner's tracker; an attachment's own registration (CPython < 3.13
+has no ``track=False``) is then a no-op on that shared set, and the
+attachment must not unregister it — doing so would drop the owner's
+entry, make the owner's ``unlink`` a tracker ``KeyError`` and leave a
+crashed owner's blocks behind in ``/dev/shm``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -41,10 +46,14 @@ __all__ = [
 def mp_context():
     """The preferred multiprocessing context: ``fork`` where available.
 
-    Fork keeps worker start-up at milliseconds and shares the parent's
-    resource tracker; platforms without it (Windows, macOS default) fall
-    back to ``spawn``, which :func:`attach_graph` also supports.
+    Fork keeps worker start-up at milliseconds; platforms without it
+    (Windows, macOS default) fall back to ``spawn``, which
+    :func:`attach_graph` also supports.  The resource tracker is started
+    here, before the caller creates any child, so children inherit the
+    parent's tracker instead of lazily starting their own.
     """
+    if os.name == "posix":
+        resource_tracker.ensure_running()
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
@@ -143,8 +152,10 @@ def attach_graph(spec: CSRSpec) -> CSRGraph:
     cached = _ATTACHED.get(spec.offsets_name)
     if cached is not None:
         return cached[0]
-    offsets_shm = _attach_block(spec.offsets_name)
-    edges_shm = _attach_block(spec.edges_name)
+    # Attaching re-registers each name with the tracker shared with the
+    # owner: a set insert, so the owner's one unregister stays balanced.
+    offsets_shm = shared_memory.SharedMemory(name=spec.offsets_name)
+    edges_shm = shared_memory.SharedMemory(name=spec.edges_name)
     offsets = np.ndarray(spec.num_vertices + 1, dtype=np.int64, buffer=offsets_shm.buf)
     edges = np.ndarray(spec.num_edges, dtype=np.int64, buffer=edges_shm.buf)
     graph = CSRGraph(offsets=offsets, edges=edges, name=spec.graph_name)
@@ -233,24 +244,8 @@ def attach_array(name: str, size: int) -> np.ndarray:
     cached = _ATTACHED.get(name)
     if cached is not None:
         return cached[0]
-    shm = _attach_block(name)
+    shm = shared_memory.SharedMemory(name=name)
     array = np.ndarray(int(size), dtype=np.int64, buffer=shm.buf)
     _ATTACHED[name] = (array, [shm])
     return array
 
-
-def _attach_block(name: str) -> shared_memory.SharedMemory:
-    shm = shared_memory.SharedMemory(name=name)
-    # Attaching registers the block with the resource tracker again
-    # (CPython < 3.13 has no track=False): under spawn that lets a worker
-    # exit unlink blocks the parent still owns, under fork it leaves
-    # duplicate stale entries the shared tracker warns about at exit.
-    # The owner's own registration is the one that matters — drop the
-    # attachment's.
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - platform dependent
-        pass
-    return shm

@@ -64,3 +64,52 @@ class TestSharedCSR:
 
         with SharedCSR(graph) as shared:
             assert len(pickle.dumps(shared.spec)) < 1024
+
+
+_TEARDOWN_PROBE = """
+import sys
+import repro
+from repro.coloring import assert_proper_coloring
+from repro.graph import rmat
+from repro.parallel.pool import pool_map
+
+if sys.argv[1] == "pool-first":
+    pool_map(abs, [-1, -2], 2)  # fork the workers before any block exists
+# The graphs (and their exported blocks) stay alive until interpreter exit.
+graphs = [rmat(10, 8, seed=seed, name=f"teardown{seed}") for seed in (1, 2)]
+for g in graphs:
+    assert_proper_coloring(g, repro.color(g, backend="parallel", workers=2).colors)
+"""
+
+
+def _shm_segments():
+    import os
+
+    return {p for p in os.listdir("/dev/shm") if p.startswith("psm_")}
+
+
+@pytest.mark.skipif(
+    not __import__("os").path.isdir("/dev/shm"), reason="no /dev/shm"
+)
+@pytest.mark.parametrize("order", ["blocks-first", "pool-first"])
+def test_parallel_coloring_tears_down_cleanly(order):
+    """Each block is registered with the resource tracker once and
+    unregistered once, whether the pool forks before or after the first
+    export: exit prints no tracker traceback and leaves no segment
+    behind."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    before = _shm_segments()
+    proc = subprocess.run(
+        [sys.executable, "-c", _TEARDOWN_PROBE, order],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert "leaked" not in proc.stderr, proc.stderr
+    assert not _shm_segments() - before

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.router_bench import DEFAULT_ROUTER_RESULT_PATH
+from repro.experiments import bench_path
 from repro.service.decision import (
     DECISION_MODEL_VERSION,
     PARITY_NEUTRAL_BACKENDS,
@@ -216,11 +216,11 @@ class TestConstantLabel:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def checked_in_matrix():
-    assert DEFAULT_ROUTER_RESULT_PATH == REPO_ROOT / "BENCH_router.json"
-    assert DEFAULT_ROUTER_RESULT_PATH.exists(), (
+    assert bench_path("router") == REPO_ROOT / "BENCH_router.json"
+    assert bench_path("router").exists(), (
         "run benchmarks/bench_router.py first"
     )
-    return json.loads(DEFAULT_ROUTER_RESULT_PATH.read_text())["matrix"]
+    return json.loads(bench_path("router").read_text())["matrix"]
 
 
 @pytest.fixture(scope="module")
@@ -324,7 +324,7 @@ class TestTier1Parity:
         }
         for config in (
             ServiceConfig(
-                router_table=DEFAULT_ROUTER_RESULT_PATH, cache_capacity=0
+                router_table=bench_path("router"), cache_capacity=0
             ),
             ServiceConfig(cache_capacity=0),
         ):

@@ -313,7 +313,7 @@ class TestValidation:
 
 
 class TestClientRetries:
-    """`color(retries=)` and the deprecated `color_retrying` shim."""
+    """`color(retries=)` absorbs sheds."""
 
     def test_retries_absorb_sheds(self, service_factory):
         release = threading.Event()
@@ -369,11 +369,3 @@ class TestClientRetries:
         release.set()
         for job in jobs:
             job.result_or_raise(timeout=30)
-
-    def test_color_retrying_warns_and_forwards(self, service_factory):
-        svc = service_factory(executors=1)
-        client = Client(svc)
-        g = erdos_renyi(40, 0.1, seed=5)
-        with pytest.warns(DeprecationWarning, match="retries"):
-            result = client.color_retrying(g, max_sheds=4)
-        assert np.array_equal(result.colors, repro.color(g).colors)
