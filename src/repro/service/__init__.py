@@ -20,9 +20,9 @@ The layers, innermost out (each its own module):
 * :mod:`~repro.service.service` — :class:`ColoringService`, the running
   engine tying those together;
 * :mod:`~repro.service.protocol` / :mod:`~repro.service.server` /
-  :mod:`~repro.service.client` — the length-prefixed JSON wire format,
-  the asyncio Unix-socket front-end, and the unified in-process/socket
-  :class:`Client`.
+  :mod:`~repro.service.client` — the length-prefixed binary-frame wire
+  format (JSON accepted), the asyncio Unix-socket front-end, and the
+  unified in-process/socket :class:`Client`.
 
 Quick start::
 
@@ -44,6 +44,7 @@ from .client import Client, SessionHandle, connect
 from .execution import ExecutionEngine
 from .executor import BackendHealth, Executor
 from .jobs import (
+    FingerprintMismatch,
     Job,
     JobFailed,
     JobRequest,
@@ -89,6 +90,7 @@ __all__ = [
     "DEGRADATION_LADDER",
     "ExecutionEngine",
     "Executor",
+    "FingerprintMismatch",
     "HashRing",
     "Job",
     "JobFailed",

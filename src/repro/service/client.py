@@ -8,11 +8,11 @@ service lives in its process or behind a Unix socket:
 * ``Client(service=svc)`` wraps a running
   :class:`~repro.service.service.ColoringService` directly (zero-copy,
   no serialization);
-* ``Client(socket_path=...)`` (or :func:`connect`) speaks the
-  length-prefixed JSON protocol to a :func:`repro.service.server.serve`
-  instance.  One persistent connection per client; requests on a single
-  client are serialized (use one client per thread for concurrency —
-  they are cheap).
+* ``Client(socket_path=...)`` (or :func:`connect`) sends binary frames
+  (:mod:`repro.service.protocol`) to a :func:`repro.service.server.serve`
+  instance or a mesh router.  One persistent connection per client;
+  requests on a single client are serialized (use one client per thread
+  for concurrency — they are cheap).
 
 Either way the error surface is identical: admission shedding raises
 :class:`~repro.service.jobs.RetryAfter`, deadlines raise
@@ -42,8 +42,11 @@ import numpy as np
 from ..graph.csr import CSRGraph
 from .jobs import JobResult, RetryAfter, ServiceError, build_request
 from .protocol import (
+    Body,
     apply_outcome_from_wire,
+    decode_body,
     decode_colors,
+    encode_body,
     encode_edge_pairs,
     read_frame,
     request_to_wire,
@@ -148,7 +151,7 @@ class Client:
         if self._service is not None:
             job = self._service.submit(request)
             return job.result_or_raise(None)
-        payload = self._roundtrip(request_to_wire(request))
+        payload = self._roundtrip(request_to_wire(request, binary=True))
         return result_from_wire(payload["result"])
 
     # ------------------------------------------------------------------
@@ -192,7 +195,7 @@ class Client:
                 **request.opts,
             )
         else:
-            message = request_to_wire(request)
+            message = request_to_wire(request, binary=True)
             message["op"] = "session.register"
             info = session_info_from_wire(
                 self._roundtrip(message)["session"]
@@ -216,28 +219,28 @@ class Client:
 
         Unlike the typed helpers this does **not** raise on
         ``ok: false`` — the whole frame (including any error payload)
-        comes back verbatim.  The mesh router forwards decoded-once
-        client messages to workers through this, so error frames (e.g. a
-        shed worker's ``retry_after``) stay inspectable before the
-        router decides whether to spill or relay.  Socket clients only.
+        comes back verbatim.  Socket clients only.
+        """
+        return decode_body(self.exchange(encode_body(message)))
+
+    def exchange(self, body: Body) -> Body:
+        """One round trip of encoded bodies, neither side decoded here.
+
+        The mesh router forwards client frames to workers through this
+        byte for byte, and relays the worker's reply the same way.
         """
         if self._sock is None:
             raise ServiceError("raw call requires a socket client")
         with self._lock:
-            write_frame(self._sock, message)
-            response = read_frame(self._sock)
-        if response is None:
+            write_frame(self._sock, body)
+            reply = read_frame(self._sock, raw=True)
+        if reply is None:
             raise ServiceError("server closed the connection")
-        return response
+        return reply
 
     # ------------------------------------------------------------------
     def _roundtrip(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        assert self._sock is not None
-        with self._lock:
-            write_frame(self._sock, message)
-            response = read_frame(self._sock)
-        if response is None:
-            raise ServiceError("server closed the connection")
+        response = self.call(message)
         if not response.get("ok"):
             raise wire_to_error(response.get("error", {}))
         return response
@@ -283,8 +286,8 @@ class SessionHandle:
             message = {
                 "op": "session.apply",
                 "session_id": self.session_id,
-                "additions_i64": encode_edge_pairs(additions),
-                "removals_i64": encode_edge_pairs(removals),
+                "additions_i64": encode_edge_pairs(additions, binary=True),
+                "removals_i64": encode_edge_pairs(removals, binary=True),
                 "add_vertices": int(add_vertices),
             }
             outcome = apply_outcome_from_wire(

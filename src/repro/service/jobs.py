@@ -30,6 +30,7 @@ import numpy as np
 from ..graph.csr import CSRGraph
 
 __all__ = [
+    "FingerprintMismatch",
     "Job",
     "JobFailed",
     "JobRequest",
@@ -99,6 +100,18 @@ class SessionNotFound(SessionError):
     """The session id is unknown (never registered, or already closed)."""
 
     code = "session_not_found"
+
+
+class FingerprintMismatch(ServiceError):
+    """A request's header fingerprint does not match the graph it carries.
+
+    Mesh routers place a job on the fingerprint a client names in the
+    frame header without decoding the graph; the worker that decodes it
+    recomputes the fingerprint and refuses a mismatch, so a wrong header
+    can never put a graph's result under another graph's cache key.
+    """
+
+    code = "fingerprint_mismatch"
 
 
 class JobState(Enum):

@@ -39,12 +39,8 @@ where a job runs, never what runs.
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
-import json
 import os
-import signal
-import struct
 import tempfile
 import threading
 import time
@@ -68,6 +64,7 @@ from ..parallel.coloring import (
 from ..parallel.shm import SharedCSR, SharedI64Array, mp_context
 from .client import Client
 from .jobs import (
+    JobRequest,
     JobResult,
     RetryAfter,
     ServiceClosed,
@@ -77,21 +74,23 @@ from .jobs import (
 )
 from .placement import MeshPlacement, placement_key
 from .protocol import (
-    MAX_FRAME_BYTES,
+    Body,
+    decode_body,
+    encode_body,
     encode_colors,
     error_to_wire,
+    is_binary,
     request_from_wire,
     request_to_wire,
+    result_from_wire,
     result_to_wire,
     shard_spec_to_wire,
     wire_to_error,
 )
-from .server import serve
+from .server import FrameServer, run_until_signalled, serve
 from .service import ServiceConfig
 
 __all__ = ["ColoringMesh", "MeshConfig", "MeshServer", "serve_mesh"]
-
-_LEN = struct.Struct(">I")
 
 _SHARD_OPTS = {"prune_uncolored", "num_shards", "partition"}
 """Opts the shard path honors; anything else forwards to a worker."""
@@ -136,6 +135,19 @@ def _worker_main(socket_path: str, config: ServiceConfig) -> None:
         os._exit(0)
 
 
+def _preload_kernels() -> None:
+    """Color one tiny graph in the router before forking workers.
+
+    Lazy imports (NumPy's ``np.unique`` pulls in ``numpy.ma``) and the
+    native-library load then happen once per router process, and every
+    forked worker inherits them instead of paying them on its first job.
+    """
+    from .. import color
+    from ..graph import erdos_renyi
+
+    color(erdos_renyi(64, 0.1, seed=0))
+
+
 class _WorkerLink:
     """Connection pool onto one worker's socket.
 
@@ -153,6 +165,9 @@ class _WorkerLink:
         self._closed = False
 
     def call(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        return decode_body(self.exchange(encode_body(message)))
+
+    def exchange(self, body: Body) -> Body:
         with self._lock:
             if self._closed:
                 raise ServiceError(f"link to {self.socket_path} is closed")
@@ -160,7 +175,7 @@ class _WorkerLink:
         if client is None:
             client = Client(socket_path=self.socket_path)
         try:
-            response = client.call(message)
+            reply = client.exchange(body)
         except BaseException:
             client.close()
             raise
@@ -169,7 +184,7 @@ class _WorkerLink:
                 client.close()
             else:
                 self._idle.append(client)
-        return response
+        return reply
 
     def close(self) -> None:
         with self._lock:
@@ -210,8 +225,17 @@ class ColoringMesh:
         self._closed = False
         self._started_at = time.monotonic()
         names = [f"w{i}" for i in range(self.config.workers)]
+        _preload_kernels()
+        # Fork every worker first, then wait: they boot concurrently.
         for name in names:
             self._workers[name] = self._spawn(name)
+        try:
+            for worker in self._workers.values():
+                self._await_ready(worker)
+        except BaseException:
+            for worker in self._workers.values():
+                worker.process.kill()
+            raise
         self.placement = MeshPlacement(names, replicas=self.config.replicas)
         self._stop = threading.Event()
         self._health = threading.Thread(
@@ -237,21 +261,26 @@ class ColoringMesh:
             daemon=True,
         )
         process.start()
-        worker = _Worker(name, process, socket_path)
+        return _Worker(name, process, socket_path)
+
+    def _await_ready(self, worker: _Worker) -> None:
+        """Block until ``worker`` answers a ping."""
         deadline = time.monotonic() + self.config.spawn_timeout_s
         while time.monotonic() < deadline:
-            if socket_path.exists():
+            if worker.socket_path.exists():
                 try:
                     if worker.link.call({"op": "ping"}).get("pong"):
-                        return worker
+                        return
                 except Exception:
                     pass
-            if not process.is_alive():
-                raise ServiceError(f"mesh worker {name} died during startup")
-            time.sleep(0.02)
+            if not worker.process.is_alive():
+                raise ServiceError(
+                    f"mesh worker {worker.name} died during startup"
+                )
+            time.sleep(0.005)
         raise ServiceError(
-            f"mesh worker {name} did not bind {socket_path} within "
-            f"{self.config.spawn_timeout_s}s"
+            f"mesh worker {worker.name} did not bind {worker.socket_path} "
+            f"within {self.config.spawn_timeout_s}s"
         )
 
     def _on_worker_death(self, name: str) -> None:
@@ -299,40 +328,40 @@ class ColoringMesh:
                 )
 
     # ------------------------------------------------------------------
-    # Forwarding
+    # Forwarding: bodies pass through undecoded
     # ------------------------------------------------------------------
     @staticmethod
-    def _is_shed(response: Dict[str, Any]) -> bool:
+    def _is_shed(reply: Body) -> bool:
+        response = decode_body(reply)
         return (
             not response.get("ok")
             and response.get("error", {}).get("code") == "retry_after"
         )
 
-    def _call_worker(
-        self, name: str, message: Dict[str, Any]
-    ) -> Optional[Dict[str, Any]]:
-        """One raw call; None (after marking dead) on transport failure."""
+    def _call_worker(self, name: str, body: Body) -> Optional[Body]:
+        """One raw round trip; None (after marking dead) on transport failure."""
         worker = self._workers.get(name)
         if worker is None:
             return None
         try:
-            return worker.link.call(message)
+            return worker.link.exchange(body)
         except Exception:
             self._on_worker_death(name)
             return None
 
-    def forward(self, message: Dict[str, Any], key: str) -> Dict[str, Any]:
-        """Route one wire message by ``key``: home → spill → relay.
+    def forward(self, body: Body, key: str) -> Body:
+        """Route one request body by ``key``: home → spill → relay.
 
         The home worker is the consistent-hash owner.  A shed from the
         home spills once to the least-loaded other live worker; a second
         shed is relayed to the caller (whose retry hint still applies).
         Transport failures re-hash and retry until a worker answers or
-        none are left.
+        none are left.  Request and reply bytes pass through unchanged;
+        only a reply's header is read, to spot a shed.
         """
-        return self._forward_traced(message, key)[0]
+        return self._forward_traced(body, key)[0]
 
-    def _forward_traced(self, message: Dict[str, Any], key: str):
+    def _forward_traced(self, body: Body, key: str):
         """:meth:`forward` plus the name of the worker that answered."""
         if self._closed:
             raise ServiceClosed("mesh is shutting down")
@@ -341,16 +370,30 @@ class ColoringMesh:
                 home = self.placement.home(key)
             except LookupError:
                 raise ServiceClosed("no live mesh workers") from None
-            response = self._call_worker(home, message)
-            if response is None:
+            reply = self._call_worker(home, body)
+            if reply is None:
                 continue  # home died; the ring has re-hashed
-            if self._is_shed(response):
+            if self._is_shed(reply):
                 target = self.placement.spill_target(key, exclude=[home])
                 if target is not None and target != home:
-                    spilled = self._call_worker(target, message)
+                    spilled = self._call_worker(target, body)
                     if spilled is not None:
                         return spilled, target
-            return response, home
+            return reply, home
+
+    @staticmethod
+    def _header_key(message: Dict[str, Any]) -> str:
+        """The placement key of one color/register message.
+
+        A binary frame names its graph's fingerprint in the header, so
+        the graph stays undecoded here (the worker verifies the name).
+        Without one (a JSON body) the graph is decoded and fingerprinted.
+        """
+        named = message.get("fingerprint")
+        if message.get("graph") is not None and isinstance(named, str):
+            return named
+        request = request_from_wire(message)
+        return placement_key(request, request.graph)
 
     # ------------------------------------------------------------------
     # Jobs
@@ -385,12 +428,14 @@ class ColoringMesh:
             client_id=client_id,
             timeout_s=timeout_s,
         )
+        if self._wants_shard_path(request):
+            return self._color_sharded(request)
+        body = encode_body(request_to_wire(request, binary=True))
+        key = placement_key(request, request.graph)
         attempts = max(0, retries) + 1
         for attempt in range(attempts):
-            response = self.handle_color_message(request_to_wire(request))
+            response = decode_body(self.forward(body, key))
             if response.get("ok"):
-                from .protocol import result_from_wire
-
                 return result_from_wire(response["result"])
             error = wire_to_error(response.get("error", {}))
             if isinstance(error, RetryAfter) and attempt + 1 < attempts:
@@ -398,69 +443,73 @@ class ColoringMesh:
                 continue
             raise error
 
-    def handle_color_message(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Place one decoded-once ``op="color"`` message; returns the frame."""
-        try:
-            request = request_from_wire(message)
-        except BaseException as exc:
-            return {"ok": False, "error": error_to_wire(exc)}
-        if self._wants_shard_path(request):
-            try:
-                result = self._color_sharded(request)
-                return {"ok": True, "result": result_to_wire(result)}
-            except BaseException as exc:
-                return {"ok": False, "error": error_to_wire(exc)}
-        return self.forward(message, placement_key(request, request.graph))
+    def route_color(self, message: Dict[str, Any], body: Body) -> Body:
+        """Answer one client ``op="color"`` frame (decoded ``message``,
+        raw ``body``): the shard path, or ``body`` forwarded unchanged."""
+        request = self._shard_request(message)
+        if request is not None:
+            result = result_to_wire(
+                self._color_sharded(request), binary=is_binary(body)
+            )
+            return encode_body({"ok": True, "result": result})
+        return self.forward(body, self._header_key(message))
 
     # ------------------------------------------------------------------
     # Sessions (forwarded whole to the session's home worker)
     # ------------------------------------------------------------------
     def forward_session(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        """Route one session-lane message; returns the decoded reply."""
+        try:
+            return decode_body(self.route_session(message, encode_body(message)))
+        except ServiceError as exc:
+            return {"ok": False, "error": error_to_wire(exc)}
+
+    def route_session(self, message: Dict[str, Any], body: Body) -> Body:
+        """Answer one ``session.*`` frame: ``body`` goes unchanged to the
+        session's home worker (for a register, the graph's hash home)."""
         op = str(message.get("op", ""))
         if op == "session.register":
-            try:
-                request = request_from_wire(message)
-            except BaseException as exc:
-                return {"ok": False, "error": error_to_wire(exc)}
-            response, worker = self._forward_traced(
-                message, placement_key(request, request.graph)
-            )
+            reply, worker = self._forward_traced(body, self._header_key(message))
+            response = decode_body(reply)
             if response.get("ok"):
                 # Remember the worker that actually answered (spill may
                 # have moved it off the hash home) so later ops follow.
-                session_id = response["session"]["session_id"]
-                self._session_homes[session_id] = worker
-            return response
+                self._session_homes[response["session"]["session_id"]] = worker
+            return reply
         session_id = str(message.get("session_id", ""))
         home = self._session_homes.get(session_id)
         if home is None or home not in self.placement.live_workers:
-            return {
-                "ok": False,
-                "error": error_to_wire(
-                    SessionNotFound(
-                        f"unknown session {session_id!r} (no live owner "
-                        "in the mesh — its worker may have died)"
-                    )
-                ),
-            }
-        response = self._call_worker(home, message)
-        if response is None:
-            return {
-                "ok": False,
-                "error": error_to_wire(
-                    SessionNotFound(
-                        f"session {session_id!r} lost: its worker died"
-                    )
-                ),
-            }
-        if op == "session.close" and response.get("ok"):
+            raise SessionNotFound(
+                f"unknown session {session_id!r} (no live owner in the "
+                "mesh — its worker may have died)"
+            )
+        reply = self._call_worker(home, body)
+        if reply is None:
+            raise SessionNotFound(f"session {session_id!r} lost: its worker died")
+        if op == "session.close" and decode_body(reply).get("ok"):
             self._session_homes.pop(session_id, None)
-        return response
+        return reply
 
     # ------------------------------------------------------------------
     # Cross-worker shard path
     # ------------------------------------------------------------------
-    def _wants_shard_path(self, request) -> bool:
+    def _shard_request(self, message: Dict[str, Any]) -> Optional[JobRequest]:
+        """The decoded request of a frame that takes the shard path, else
+        None.  The graph is decoded only when the header's vertex count
+        reaches the threshold."""
+        threshold = self.config.shard_threshold_vertices
+        graph = message.get("graph")
+        if threshold is None or not isinstance(graph, dict):
+            return None
+        try:
+            if int(graph.get("n", 0)) < threshold:
+                return None
+        except (TypeError, ValueError, OverflowError):
+            return None  # malformed: the worker's decoder reports it
+        request = request_from_wire(message)
+        return request if self._wants_shard_path(request) else None
+
+    def _wants_shard_path(self, request: JobRequest) -> bool:
         threshold = self.config.shard_threshold_vertices
         return (
             threshold is not None
@@ -551,7 +600,7 @@ class ColoringMesh:
                                     **base,
                                     "op": "shard.repair",
                                     "ready_i64": encode_colors(
-                                        np.concatenate(subset)
+                                        np.concatenate(subset), binary=True
                                     ),
                                 },
                                 lambda subset=subset: recolor_first_free(
@@ -599,15 +648,18 @@ class ColoringMesh:
 
         def run(op) -> None:
             name, message, local = op
+            body = encode_body(message)
             tried = set()
             while True:
                 if name and name not in tried:
                     tried.add(name)
-                    response = self._call_worker(name, message)
-                    if response is not None:
-                        if response.get("ok"):
-                            return
-                        errors.append(wire_to_error(response.get("error", {})))
+                    reply = self._call_worker(name, body)
+                    if reply is not None:
+                        response = decode_body(reply)
+                        if not response.get("ok"):
+                            errors.append(
+                                wire_to_error(response.get("error", {}))
+                            )
                         return
                 fallback = next(
                     (
@@ -725,15 +777,17 @@ class ColoringMesh:
         self.close()
 
 
-class MeshServer:
+class MeshServer(FrameServer):
     """Unix-socket front-end over a :class:`ColoringMesh` router.
 
     Speaks the same wire protocol as the single-service server — the
     existing ``submit``/``submit-deltas`` CLI verbs and
     :func:`~repro.service.client.connect` work unchanged against a mesh
     socket — plus the ``mesh.status`` op behind the ``mesh-status``
-    verb.
+    verb.  Color and session frames are forwarded as received.
     """
+
+    thread_name = "repro-mesh-server"
 
     def __init__(
         self,
@@ -742,133 +796,29 @@ class MeshServer:
         *,
         owns_mesh: bool = False,
     ):
+        super().__init__(socket_path, owns_backend=owns_mesh)
         self.mesh = mesh
-        self.socket_path = Path(socket_path)
         self.owns_mesh = owns_mesh
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
 
-    async def start(self) -> None:
-        if self._server is not None:
-            raise ServiceError("server already started")
-        self.socket_path.parent.mkdir(parents=True, exist_ok=True)
-        if self.socket_path.exists():
-            self.socket_path.unlink()
-        self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_unix_server(
-            self._handle_connection, path=str(self.socket_path)
-        )
-        self._started.set()
-
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        with contextlib.suppress(OSError):
-            self.socket_path.unlink()
-        if self.owns_mesh:
-            await asyncio.get_running_loop().run_in_executor(
-                None, self.mesh.close
-            )
-        self._started.clear()
-
-    def run_in_thread(self, *, timeout: float = 10.0) -> "MeshServer":
-        def runner() -> None:
-            asyncio.run(self._run_until_stopped())
-
-        self._stop_event: Optional[asyncio.Event] = None
-        self._thread = threading.Thread(
-            target=runner, name="repro-mesh-server", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(timeout):
-            raise ServiceError(
-                f"mesh server did not bind {self.socket_path} within {timeout}s"
-            )
-        return self
-
-    async def _run_until_stopped(self) -> None:
-        self._stop_event = asyncio.Event()
-        await self.start()
-        await self._stop_event.wait()
-        await self.stop()
+    def close_backend(self) -> None:
+        self.mesh.close()
 
     def shutdown(self, *, timeout: float = 60.0) -> None:
-        if self._thread is None:
-            return
-        if self._loop is not None and self._stop_event is not None:
-            self._loop.call_soon_threadsafe(self._stop_event.set)
-        self._thread.join(timeout)
-        if self._thread.is_alive():  # pragma: no cover - defensive
-            raise ServiceError("mesh server thread did not stop in time")
-        self._thread = None
+        super().shutdown(timeout=timeout)
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    header = await reader.readexactly(_LEN.size)
-                except asyncio.IncompleteReadError:
-                    break  # clean EOF
-                (length,) = _LEN.unpack(header)
-                if length > MAX_FRAME_BYTES:
-                    await self._send(
-                        writer,
-                        {
-                            "ok": False,
-                            "error": {
-                                "type": "ServiceError",
-                                "message": "frame exceeds protocol cap",
-                            },
-                        },
-                    )
-                    break
-                body = await reader.readexactly(length)
-                response = await self._dispatch(json.loads(body.decode()))
-                await self._send(writer, response)
-        except asyncio.CancelledError:
-            pass  # loop teardown mid-connection (router shutdown)
-        finally:
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()
-
-    async def _send(
-        self, writer: asyncio.StreamWriter, payload: Dict[str, Any]
-    ) -> None:
-        body = json.dumps(payload, sort_keys=True).encode()
-        writer.write(_LEN.pack(len(body)) + body)
-        await writer.drain()
-
-    async def _dispatch(self, message: Dict[str, Any]) -> Dict[str, Any]:
+    def dispatch(
+        self, message: Dict[str, Any], body: Body
+    ) -> Union[Dict[str, Any], Body]:
         op = str(message.get("op", ""))
-        try:
-            if op == "ping":
-                return {"ok": True, "pong": True}
-            if op in ("status", "mesh.status"):
-                return {
-                    "ok": True,
-                    "status": await self._offload(self.mesh.status),
-                }
-            if op == "color":
-                return await self._offload(
-                    self.mesh.handle_color_message, message
-                )
-            if op.startswith("session."):
-                return await self._offload(self.mesh.forward_session, message)
-            raise ServiceError(f"unknown op {op!r}")
-        except BaseException as exc:  # every failure becomes a frame
-            return {"ok": False, "error": error_to_wire(exc)}
-
-    async def _offload(self, fn, *args):
-        return await asyncio.get_running_loop().run_in_executor(
-            None, fn, *args
-        )
+        if op == "ping":
+            return {"ok": True, "pong": True}
+        if op in ("status", "mesh.status"):
+            return {"ok": True, "status": self.mesh.status()}
+        if op == "color":
+            return self.mesh.route_color(message, body)
+        if op.startswith("session."):
+            return self.mesh.route_session(message, body)
+        raise ServiceError(f"unknown op {op!r}")
 
 
 def serve_mesh(
@@ -889,27 +839,4 @@ def serve_mesh(
     owns = mesh is None
     router = mesh if mesh is not None else ColoringMesh(config)
     server = MeshServer(router, socket_path, owns_mesh=owns)
-
-    async def main() -> None:
-        server._stop_event = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            with contextlib.suppress(NotImplementedError, RuntimeError, ValueError):
-                loop.add_signal_handler(sig, server._stop_event.set)
-        await server.start()
-        if ready is not None:
-            ready.set()
-        try:
-            await server._stop_event.wait()
-        except asyncio.CancelledError:  # pragma: no cover - loop teardown
-            task = asyncio.current_task()
-            if task is not None and hasattr(task, "uncancel"):
-                task.uncancel()
-        finally:
-            await server.stop()
-
-    try:
-        asyncio.run(main())
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
-        if owns:
-            router.close()
+    run_until_signalled(server, ready, router.close if owns else lambda: None)

@@ -20,12 +20,21 @@ from repro.obs import Registry
 from repro.service import (
     ColoringMesh,
     ColoringService,
+    FingerprintMismatch,
     JobRequest,
     MeshConfig,
     MeshServer,
     ServiceConfig,
     SessionNotFound,
+    build_request,
     connect,
+)
+from repro.service.protocol import (
+    decode_body,
+    encode_body,
+    request_to_wire,
+    result_from_wire,
+    wire_to_error,
 )
 
 
@@ -212,3 +221,112 @@ def test_service_and_mesh_share_the_execution_engine(monkeypatch):
         meshed = m.color(g, retries=8)
     assert np.array_equal(in_process.colors, meshed.colors)
     assert np.array_equal(in_process.colors, direct_color(g).colors)
+
+
+# ----------------------------------------------------------------------
+# Header routing: place on the client's fingerprint, forward the bytes
+# ----------------------------------------------------------------------
+def _color_body(graph, **header):
+    message = request_to_wire(build_request(graph=graph), binary=True)
+    message.update(header)
+    return encode_body(message)
+
+
+def test_router_places_on_the_header_fingerprint_without_decoding(
+    mesh, monkeypatch
+):
+    import repro.service.mesh as mesh_module
+
+    g = erdos_renyi(130, 0.08, seed=61, name="header-routed")
+    body = _color_body(g)
+    called = []
+    real_call = mesh._call_worker
+    monkeypatch.setattr(
+        mesh,
+        "_call_worker",
+        lambda name, sent: called.append((name, sent)) or real_call(name, sent),
+    )
+
+    def no_decode(message):  # pragma: no cover - failing path only
+        raise AssertionError("router decoded a graph it could route by header")
+
+    monkeypatch.setattr(mesh_module, "request_from_wire", no_decode)
+    reply = mesh.route_color(decode_body(body), body)
+    assert called == [(mesh.placement.home(g.fingerprint()), body)]
+    result = result_from_wire(decode_body(reply)["result"])
+    assert np.array_equal(result.colors, direct_color(g).colors)
+
+
+def test_wrong_fingerprint_is_refused_by_the_worker_and_relayed_unchanged(mesh):
+    g = erdos_renyi(110, 0.08, seed=62, name="lying-header")
+    wrong = "0" * 64
+    body = _color_body(g, fingerprint=wrong)
+    socket_path = Path(tempfile.mkdtemp(prefix="repro-mesh-test-")) / "r.sock"
+    server = MeshServer(mesh, socket_path).run_in_thread()
+    try:
+        with connect(socket_path) as client:
+            via_router = client.exchange(body)
+    finally:
+        server.shutdown()
+    home = mesh._workers[mesh.placement.home(wrong)]
+    assert via_router == home.link.exchange(body)  # byte for byte
+    response = decode_body(via_router)
+    assert not response["ok"]
+    assert response["error"]["code"] == "fingerprint_mismatch"
+    assert isinstance(wire_to_error(response["error"]), FingerprintMismatch)
+
+
+def test_json_bodies_are_fingerprinted_at_the_router_and_answered_in_kind(mesh):
+    g = erdos_renyi(120, 0.08, seed=63, name="json-client")
+    body = encode_body(request_to_wire(build_request(graph=g)))
+    assert body.startswith(b"{") and "fingerprint" not in decode_body(body)
+    reply = mesh.route_color(decode_body(body), body)
+    assert reply.startswith(b"{")
+    result = result_from_wire(decode_body(reply)["result"])
+    assert np.array_equal(result.colors, direct_color(g).colors)
+
+
+# ----------------------------------------------------------------------
+# Shutdown hygiene
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sigterm_with_a_pooled_connection_prints_no_traceback(tmp_path, workers):
+    """SIGTERM while a client still holds its connection open: the
+    server drains and exits 0, and stderr carries no traceback."""
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    socket_path = tmp_path / "s.sock"
+    cmd = [sys.executable, "-m", "repro.cli", "serve", "--socket", str(socket_path)]
+    if workers > 1:
+        cmd += ["--workers", str(workers)]
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    with open(tmp_path / "stderr", "wb") as stderr:
+        proc = subprocess.Popen(
+            cmd, env=env, stdout=subprocess.DEVNULL, stderr=stderr
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not socket_path.exists():
+                assert proc.poll() is None, "server exited during boot"
+                assert time.monotonic() < deadline, "server did not bind"
+                time.sleep(0.05)
+            client = connect(socket_path, connect_timeout=30)
+            g = erdos_renyi(100, 0.1, seed=64, name="pooled")
+            assert np.array_equal(
+                client.color(g, retries=8).colors, direct_color(g).colors
+            )
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0
+            client.close()
+        finally:
+            if proc.poll() is None:  # pragma: no cover - failing path only
+                proc.kill()
+                proc.wait()
+    text = (tmp_path / "stderr").read_text(errors="replace")
+    assert "Traceback" not in text, text
